@@ -7,10 +7,16 @@
 #   make bench-hotpaths-check - budget-mode run gated against the committed
 #                               BENCH_hotpaths.json (fails when a speedup
 #                               ratio collapses >3x)
-#   make bench-sim       - end-to-end simulator throughput; rewrites BENCH_sim.json
+#   make bench-sim       - end-to-end simulator throughput + sweep scaling;
+#                          rewrites BENCH_sim.json
 #   make bench-sim-check - budget-mode run gated against the committed
 #                          BENCH_sim.json (fails when a speedup ratio
 #                          collapses >3x)
+#   make bench-sim-sweep-check - budget-mode run without writing: 8 seeds run
+#                                serially and across every usable core must
+#                                give identical summaries and scale >=0.625x
+#                                per usable core (every bench-sim run applies
+#                                the same gate)
 #   make bench-replication       - replica-read scale-out + failover drills;
 #                                  rewrites BENCH_replication.json
 #   make bench-replication-check - budget-mode run gated against the committed
@@ -20,13 +26,6 @@
 #   make bench-ttl-check - budget-mode run gated against the committed
 #                          BENCH_ttl.json (fails when the winner's quality
 #                          score collapses >3x; deterministic, seeded)
-#   make bench-sim-parallel       - process-parallel scaling grid (workers=1/2/4/8,
-#                                   or SIM_WORKERS=N for a single count); parity
-#                                   against the serial oracle asserted before timing
-#   make bench-sim-parallel-check - budget-mode parallel grid gated on measured
-#                                   scaling floors (0.625x per usable worker;
-#                                   oversubscribed counts bounded)
-#   make sim-parallel-smoke       - oracle-parity + worker-invariance test subset
 #   make smoke-failover  - seeded crash+recover scenario must stay deterministic
 #   make bench-resilience        - availability/staleness chaos grid (resilience
 #                                  on vs off); rewrites BENCH_resilience.json
@@ -66,7 +65,7 @@ GATED_BENCH := \
 
 BENCH_FILES := $(filter-out $(GATED_BENCH),$(wildcard benchmarks/bench_*.py))
 
-.PHONY: test bench-smoke bench bench-hotpaths bench-hotpaths-check bench-sim bench-sim-check bench-sim-parallel bench-sim-parallel-check sim-parallel-smoke bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke docs-check
+.PHONY: test bench-smoke bench bench-hotpaths bench-hotpaths-check bench-sim bench-sim-check bench-sim-sweep-check bench-replication bench-replication-check bench-ttl bench-ttl-check bench-resilience bench-resilience-check smoke-failover chaos-smoke verify-consistency verify-consistency-smoke obs-smoke docs-check
 
 test:
 	$(PYTEST) -x -q
@@ -89,14 +88,8 @@ bench-sim:
 bench-sim-check:
 	$(PYTHON) benchmarks/bench_sim_throughput.py --budget --check BENCH_sim.json
 
-bench-sim-parallel:
-	$(PYTHON) benchmarks/bench_sim_throughput.py --no-write $(if $(SIM_WORKERS),--workers $(SIM_WORKERS))
-
-bench-sim-parallel-check:
-	$(PYTHON) benchmarks/bench_sim_throughput.py --budget --check-parallel
-
-sim-parallel-smoke:
-	$(PYTEST) tests/simulation/test_parallel_parity.py tests/simulation/test_parallel_invariance.py -q
+bench-sim-sweep-check:
+	$(PYTHON) benchmarks/bench_sim_throughput.py --budget --no-write
 
 bench-replication:
 	$(PYTHON) benchmarks/bench_replication.py

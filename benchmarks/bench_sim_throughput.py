@@ -38,27 +38,27 @@ more than the allowed factor (default 3x).  Ratios, not absolute ops/sec:
 both legs of each ratio come from the same machine and invocation, so the
 gate is independent of how fast the CI runner happens to be.
 
-The report also carries a **process-parallel scaling grid**: the
-:class:`repro.simulation.ParallelSimulator` run at workers={1, 2, 4, 8}
-(override with ``--workers N`` or ``SIM_WORKERS=N``) after asserting every
-worker count byte-identical to the single-process serial oracle.
-``--check-parallel`` gates the measured scaling: worker counts the machine
-can parallelize (<= cpu_count) must reach 0.625x per worker vs workers=1
-(>= 2.5x at 4 workers on a 4-core runner); oversubscribed counts only have
-their spawn/barrier overhead bounded.  ``cpu_count`` is recorded in the
+Every run also measures and gates a **sweep grid**: eight seeds of the
+``quaestor/shards=1`` scenario at 20k operations, run once as a plain serial
+loop and once through :func:`repro.simulation.map_ordered` on every usable
+core.  The two legs' summaries are asserted identical before any timing is
+read, and the sweep must reach 0.625x per usable core vs the serial loop
+(>= 1.25x on 2 cores, >= 2.5x on 4); below that floor the run exits 1 and
+writes nothing.  ``cpu_count`` and ``usable_cores`` are recorded in the
 report, so a grid measured on a single-core runner is legible as such.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import pathlib
 import platform
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -67,10 +67,10 @@ from repro import perf  # noqa: E402
 from repro.rest.etags import clear_etag_caches  # noqa: E402
 from repro.simulation import (  # noqa: E402
     CachingMode,
-    ParallelSimulator,
     SimulationConfig,
     Simulator,
-    serial_oracle,
+    map_ordered,
+    usable_cores,
 )
 from repro.workloads import DatasetSpec, WorkloadSpec  # noqa: E402
 
@@ -81,23 +81,14 @@ DEFAULT_REGRESSION_FACTOR = 3.0
 #: The scenario every figure reproduction drives: the full system.
 HEADLINE_SCENARIO = "quaestor/shards=1"
 
-#: The process-parallel scaling grid (overridable via --workers / SIM_WORKERS).
-DEFAULT_WORKERS_GRID = (1, 2, 4, 8)
-#: Partitions of the parallel scenario (one per shard group).
-PARALLEL_PARTITIONS = 8
-#: Operation count of the parallel grid in budget and full mode alike: the
-#: grid gates *ratios*, and a too-small run would drown them in constant
-#: spawn overhead rather than measuring the engine.
-PARALLEL_MAX_OPERATIONS = 20_000
-#: Scaling floor per *usable* worker: workers <= cpu_count must reach
-#: 0.625x per worker vs workers=1 (so workers=4 on a >=4-core machine must
-#: scale >=2.5x).  The gate is honest about the hardware it runs on: this
-#: floor only applies to worker counts the machine can actually parallelize.
-PARALLEL_SCALING_PER_WORKER = 0.625
-#: Oversubscribed worker counts (> cpu_count) cannot speed anything up; the
-#: gate still bounds their overhead: spawn + epoch barriers must not eat
-#: more than ~5x (scaling vs workers=1 stays above this floor).
-OVERSUBSCRIBED_FLOOR = 0.2
+#: The sweep grid: independent seeds of the headline scenario.
+SWEEP_SEEDS = tuple(range(42, 50))
+#: Operations per sweep run, in budget and full mode alike: the grid gates a
+#: *ratio*, and too small a run would drown it in process start-up cost.
+SWEEP_MAX_OPERATIONS = 20_000
+#: Scaling floor per usable core: the sweep on N usable cores must reach
+#: 0.625 * N vs the serial loop (1.25x on 2 cores, 2.5x on 4).
+SWEEP_SCALING_PER_CORE = 0.625
 
 #: Simulated-ops/sec measured in this repo immediately before the overhaul
 #: (commit 2326f94, quaestor/shards=1, full-run scale) -- the absolute
@@ -180,130 +171,71 @@ def bench_scenario(
     }
 
 
-def build_parallel_config(max_operations: int) -> SimulationConfig:
-    """The parallel-scaling scenario: 8 shard groups, read-heavy, fixed seed."""
-    return SimulationConfig(
-        mode=CachingMode.QUAESTOR,
-        workload=WorkloadSpec.read_heavy(),
-        dataset=DatasetSpec(num_tables=8, documents_per_table=300, queries_per_table=30),
-        num_clients=8,
-        connections_per_client=50,
-        ebf_refresh_interval=1.0,
-        matching_nodes=2,
-        duration=60.0,
-        max_operations=max_operations,
-        seed=42,
-        num_shards=PARALLEL_PARTITIONS,
-    )
+def sweep_run(config: SimulationConfig) -> Tuple[Dict[str, float], int]:
+    """One sweep item: the seeded summary plus the operations it executed."""
+    simulator = Simulator(config)
+    summary = simulator.run().summary()
+    return summary, simulator.total_operations
 
 
-def bench_parallel_grid(
-    max_operations: int, repeats: int, workers_grid: Sequence[int]
-) -> Dict[str, object]:
-    """Time the process-parallel engine across worker counts.
+def bench_sweep(repeats: int) -> Dict[str, object]:
+    """Time the sweep grid serially and across every usable core.
 
-    Before any timing, the merged summary at every measured worker count is
-    asserted byte-identical to the single-process serial oracle -- the
-    parallel engine is only worth benchmarking while it computes the exact
-    same results.  Scaling is reported relative to the engine's own
-    ``workers=1`` (in-process epoch loop), so the ratios are independent of
-    runner speed.
+    The serial leg is the plain loop ``[sweep_run(c) for c in configs]``;
+    the parallel leg hands the same configs to :func:`map_ordered`.  Before
+    any timing is read, the two legs' results are asserted identical, so
+    spreading runs over processes can change how long a sweep takes, never
+    what it computes.  Scaling is the serial leg's best wall time over the
+    parallel leg's, so it is independent of runner speed.
     """
-    config = build_parallel_config(max_operations)
-    grid = sorted({int(workers) for workers in workers_grid})
-    if not grid or grid[0] < 1:
-        raise ValueError("workers grid must contain positive worker counts")
-    if 1 not in grid:
-        grid.insert(0, 1)  # the scaling reference is always measured
-
-    oracle_summary = serial_oracle(config, PARALLEL_PARTITIONS).summary()
-    rates: Dict[int, float] = {}
-    for workers in grid:
-        best = 0.0
-        for _ in range(repeats):
-            engine = ParallelSimulator(
-                config, num_partitions=PARALLEL_PARTITIONS, num_workers=workers
+    base = build_config(CachingMode.QUAESTOR, 1, SWEEP_MAX_OPERATIONS)
+    configs = [dataclasses.replace(base, seed=seed) for seed in SWEEP_SEEDS]
+    cores = usable_cores()
+    best = {"serial": float("inf"), "parallel": float("inf")}
+    operations = 0
+    for _ in range(repeats):
+        start = time.perf_counter()
+        serial = [sweep_run(config) for config in configs]
+        best["serial"] = min(best["serial"], time.perf_counter() - start)
+        start = time.perf_counter()
+        parallel = map_ordered(sweep_run, configs)
+        best["parallel"] = min(best["parallel"], time.perf_counter() - start)
+        if parallel != serial:
+            raise AssertionError(
+                "the sweep's summaries differ between the serial loop and map_ordered"
             )
-            start = time.perf_counter()
-            result = engine.run()
-            elapsed = time.perf_counter() - start
-            if result.summary() != oracle_summary:
-                raise AssertionError(
-                    f"parallel engine diverged from the serial oracle at "
-                    f"workers={workers}:\n  oracle:   {oracle_summary}\n"
-                    f"  parallel: {result.summary()}"
-                )
-            if elapsed > 0:
-                best = max(best, result.total_operations / elapsed)
-        rates[workers] = best
-
-    reference = rates[1]
-    cpu_count = os.cpu_count() or 1
+        operations = sum(ops for _summary, ops in serial)
     return {
-        "scenario": f"quaestor/shards={PARALLEL_PARTITIONS}/partitions={PARALLEL_PARTITIONS}",
-        "cpu_count": cpu_count,
-        "num_partitions": PARALLEL_PARTITIONS,
-        "max_operations": max_operations,
-        "parity_identical": True,
-        "workers": {
-            str(workers): {
-                "ops_per_sec": round(rate, 1),
-                "scaling_vs_workers1": round(rate / reference, 3) if reference else 0.0,
-            }
-            for workers, rate in rates.items()
-        },
-        "note": (
-            "scaling_vs_workers1 compares against the in-process epoch loop on "
-            "the same runner; worker counts above cpu_count cannot exceed 1.0 "
-            "and only measure spawn/barrier overhead"
-        ),
+        "scenario": f"{HEADLINE_SCENARIO} x {len(SWEEP_SEEDS)} seeds",
+        "seeds": list(SWEEP_SEEDS),
+        "max_operations": SWEEP_MAX_OPERATIONS,
+        "cpu_count": os.cpu_count() or 1,
+        "usable_cores": cores,
+        "summaries_identical": True,
+        "serial_ops_per_sec": round(operations / best["serial"], 1),
+        "parallel_ops_per_sec": round(operations / best["parallel"], 1),
+        "scaling": round(best["serial"] / best["parallel"], 3),
+        "floor": round(SWEEP_SCALING_PER_CORE * cores, 3),
     }
 
 
-def check_parallel(report: Dict[str, object]) -> int:
-    """Gate the freshly measured parallel scaling grid.
-
-    Worker counts the machine can parallelize (``workers <= cpu_count``)
-    must scale at least ``0.625 * workers`` vs the single-worker engine --
-    on a 4-core-or-better runner that is the >=2.5x-at-4-workers
-    requirement.  Oversubscribed counts only have their overhead bounded.
-    Both legs of every ratio come from this same invocation, so the gate is
-    independent of absolute runner speed.
-    """
-    parallel = report.get("parallel")
-    if not isinstance(parallel, dict):
-        print("FAIL: report carries no parallel scaling grid")
+def check_sweep(report: Dict[str, object]) -> int:
+    """Gate the sweep scaling measured in this invocation (0.625x per core)."""
+    sweep = report["sweep"]
+    scaling, floor = float(sweep["scaling"]), float(sweep["floor"])
+    status = "ok" if scaling >= floor else "REGRESSION"
+    print(
+        f"  sweep scaling {scaling:.3f}x  floor {floor:.3f}x "
+        f"(usable_cores={sweep['usable_cores']})  {status}"
+    )
+    if scaling < floor:
+        print("FAIL: sweep scaling below 0.625x per usable core")
         return 1
-    cpu_count = int(parallel.get("cpu_count", 1))
-    failures = []
-    for workers_text, leg in sorted(
-        parallel["workers"].items(), key=lambda item: int(item[0])
-    ):
-        workers = int(workers_text)
-        if workers == 1:
-            continue
-        scaling = float(leg["scaling_vs_workers1"])
-        if workers <= cpu_count:
-            floor = PARALLEL_SCALING_PER_WORKER * workers
-            kind = "scaling"
-        else:
-            floor = OVERSUBSCRIBED_FLOOR
-            kind = "oversubscribed overhead"
-        status = "ok" if scaling >= floor else "REGRESSION"
-        print(
-            f"  workers={workers:<2} scaling {scaling:>6.3f}x  floor {floor:>5.3f}x "
-            f"({kind}, cpu_count={cpu_count})  {status}"
-        )
-        if scaling < floor:
-            failures.append(f"workers={workers}")
-    if failures:
-        print(f"FAIL: parallel scaling below floor on: {', '.join(failures)}")
-        return 1
-    print("OK: parallel scaling grid within floors (parity already asserted)")
+    print("OK: sweep scaling within floor (summaries already asserted identical)")
     return 0
 
 
-def run(budget: bool, repeats: int, workers_grid: Sequence[int]) -> Dict[str, object]:
+def run(budget: bool, repeats: int) -> Dict[str, object]:
     max_operations = 6_000 if budget else 20_000
     bench_repeats = max(1, min(repeats, 2) if budget else repeats)
     if budget:
@@ -331,9 +263,7 @@ def run(budget: bool, repeats: int, workers_grid: Sequence[int]) -> Dict[str, ob
         "workload": "read-heavy (49.5% reads, 49.5% queries, 1% updates), zipf 0.7",
         "max_operations": max_operations,
         "scenarios": results,
-        "parallel": bench_parallel_grid(
-            PARALLEL_MAX_OPERATIONS, bench_repeats, workers_grid
-        ),
+        "sweep": bench_sweep(bench_repeats),
         "headline": {
             "scenario": HEADLINE_SCENARIO,
             "speedup": headline.get("speedup"),
@@ -423,51 +353,20 @@ def main(argv: List[str] | None = None) -> int:
         help=f"allowed regression factor for --check (default {DEFAULT_REGRESSION_FACTOR:g})",
     )
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats (best-of)")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "measure the parallel grid at workers={1, N} instead of the default "
-            f"{DEFAULT_WORKERS_GRID} grid; the SIM_WORKERS environment variable "
-            "sets the same override"
-        ),
-    )
-    parser.add_argument(
-        "--check-parallel",
-        action="store_true",
-        help=(
-            "gate the freshly measured parallel scaling grid: workers <= cpu_count "
-            f"must scale >= {PARALLEL_SCALING_PER_WORKER:g}x per worker vs workers=1; "
-            "exit 1 below the floor"
-        ),
-    )
     args = parser.parse_args(argv)
 
-    workers_override: Optional[int] = args.workers
-    if workers_override is None and os.environ.get("SIM_WORKERS"):
-        workers_override = int(os.environ["SIM_WORKERS"])
-    if workers_override is not None and workers_override < 1:
-        parser.error("--workers / SIM_WORKERS must be a positive worker count")
-    workers_grid: Sequence[int] = (
-        (1, workers_override) if workers_override is not None else DEFAULT_WORKERS_GRID
-    )
-
-    report = run(args.budget, args.repeats, workers_grid)
+    report = run(args.budget, args.repeats)
     print(json.dumps(report, indent=2))
 
-    exit_code = 0
-    if args.check_parallel:
-        print("\nParallel scaling check (measured this invocation):")
-        exit_code = check_parallel(report)
+    print("\nSweep scaling check (measured this invocation):")
+    exit_code = check_sweep(report)
 
     if args.check is not None:
         # Gate runs never overwrite the committed baseline they compare against.
         print(f"\nRegression check against {args.check}:")
         return check(report, args.check, args.factor) or exit_code
 
-    if exit_code == 0 and not args.no_write and not args.check_parallel:
+    if exit_code == 0 and not args.no_write:
         args.output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
         print(f"\nwrote {args.output}")
     return exit_code

@@ -49,7 +49,6 @@ REQUIRED_MODULES = (
     "repro.replication",
     "repro.resilience",
     "repro.simulation",
-    "repro.simulation.parallel",
     "repro.ttl",
     "repro.ttl.bakeoff",
     "repro.verify",

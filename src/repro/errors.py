@@ -68,12 +68,10 @@ class ConfigurationError(QuaestorError):
 
 
 class UnsupportedFaultError(ConfigurationError):
-    """A fault plan cannot be expressed in the requested deployment shape.
+    """A fault plan names a target the injector cannot resolve.
 
-    Raised by :meth:`~repro.faults.plan.FaultPlan.split_by_shard` when a
-    plan cannot be partitioned for the parallel simulator -- e.g. a
-    network-partition event linking nodes that live in different
-    partitions, or a target outside the deployment's shard range.  Subclass
-    of :class:`ConfigurationError` so existing validation-oriented callers
-    keep working unchanged.
+    Raised by :class:`~repro.faults.plan.FaultEvent` when a target or peer
+    matches neither the ``shard:<id>`` role grammar nor the
+    ``s<shard>:n<index>`` node grammar.  Subclass of
+    :class:`ConfigurationError` so validation-oriented callers catch it.
     """

@@ -53,34 +53,6 @@ def _validate_target(target: str, role: str = "target") -> None:
         )
 
 
-def _route_target(target: str, shards_per_partition: int, total_shards: int) -> tuple:
-    """Map a global fault target to ``(partition_id, local_target)``.
-
-    Understands the injector's two target grammars: role targets
-    (``"shard:3"``) and node targets (``"s3:n1"``).
-    """
-    if target.startswith("shard:"):
-        shard = int(target.split(":", 1)[1])
-        _check_shard(shard, total_shards, target)
-        return shard // shards_per_partition, f"shard:{shard % shards_per_partition}"
-    if target.startswith("s") and ":" in target:
-        shard_part, node_part = target.split(":", 1)
-        shard = int(shard_part[1:])
-        _check_shard(shard, total_shards, target)
-        return shard // shards_per_partition, f"s{shard % shards_per_partition}:{node_part}"
-    raise UnsupportedFaultError(
-        f"cannot route fault target {target!r} to a shard partition"
-    )
-
-
-def _check_shard(shard: int, total_shards: int, target: str) -> None:
-    if not 0 <= shard < total_shards:
-        raise UnsupportedFaultError(
-            f"fault target {target!r} names shard {shard}, outside the deployment's "
-            f"{total_shards} shard(s)"
-        )
-
-
 class FaultAction(str, enum.Enum):
     """The failure vocabulary of the injector."""
 
@@ -179,57 +151,6 @@ class FaultPlan:
             return f"FaultPlan(name={self.name!r}, events=0)"
         timeline = "\n".join(f"  {event.describe()}" for event in self.events)
         return f"FaultPlan(name={self.name!r}, events={len(self.events)})\n{timeline}"
-
-    # -- shard routing (process-parallel simulation) -----------------------------------
-
-    def split_by_shard(self, num_partitions: int, shards_per_partition: int) -> List["FaultPlan"]:
-        """Route every event to the partition owning its target shard.
-
-        The process-parallel simulator assigns *contiguous* global shard
-        blocks to partitions: partition ``p`` owns global shards
-        ``[p * shards_per_partition, (p + 1) * shards_per_partition)``.
-        Targets are rewritten into each partition's local shard numbering
-        (``"shard:3"`` with 2 shards per partition becomes ``"shard:1"`` in
-        partition 1), so a sub-plan replays against a sub-cluster exactly as
-        the global plan would against the whole fleet.  Events keep their
-        relative order (plans are time-sorted), which is the canonical
-        ``(timestamp, seq, shard_id)`` application order of the epoch-barrier
-        merge.  PARTITION/HEAL links must not span partitions -- in the
-        partitioned model, no replication link crosses a shard-group
-        boundary.
-        """
-        if num_partitions <= 0 or shards_per_partition <= 0:
-            raise ConfigurationError("num_partitions and shards_per_partition must be positive")
-        buckets: List[List[FaultEvent]] = [[] for _ in range(num_partitions)]
-        total_shards = num_partitions * shards_per_partition
-        for event in self.events:
-            partition, local_target = _route_target(
-                event.target, shards_per_partition, total_shards
-            )
-            local_peer = None
-            if event.peer is not None:
-                peer_partition, local_peer = _route_target(
-                    event.peer, shards_per_partition, total_shards
-                )
-                if peer_partition != partition:
-                    raise UnsupportedFaultError(
-                        f"fault event links nodes in different partitions "
-                        f"({event.target!r} vs {event.peer!r}); replication links never "
-                        f"cross a shard-group boundary in the partitioned model"
-                    )
-            buckets[partition].append(
-                FaultEvent(
-                    event.time,
-                    event.action,
-                    local_target,
-                    peer=local_peer,
-                    magnitude=event.magnitude,
-                )
-            )
-        return [
-            FaultPlan(events=events, name=f"{self.name}/part{partition}")
-            for partition, events in enumerate(buckets)
-        ]
 
     # -- canned scenarios ---------------------------------------------------------------
 

@@ -9,9 +9,7 @@ to named stages (which tier dominated p99?).
 Determinism contract (the ``repro.verify`` recording playbook): the layer
 draws **zero** random numbers, reads nothing but the virtual clock, and is
 off by default (``SimulationConfig.observability=None``), so enabling it
-cannot change any seeded summary value.  Per-partition trace and metric
-state merges in partition-id order under ``ParallelSimulator`` —
-byte-identical to the serial oracle, worker-count invariant.
+cannot change any seeded summary value.
 
 Entry points:
 
@@ -36,26 +34,16 @@ from .analyze import (
 )
 from .config import ObservabilityConfig
 from .export import json_artifact, prometheus_text, write_artifacts
-from .registry import Gauge, MetricsRegistry, canonical_metrics_bytes, merge_states
-from .trace import (
-    Span,
-    TraceRecorder,
-    canonical_trace_bytes,
-    merge_trace_tuples,
-    spans_from_tuples,
-)
+from .registry import Gauge, MetricsRegistry
+from .trace import Span, TraceRecorder, spans_from_tuples
 
 __all__ = [
     "ObservabilityConfig",
     "Span",
     "TraceRecorder",
     "spans_from_tuples",
-    "merge_trace_tuples",
-    "canonical_trace_bytes",
     "Gauge",
     "MetricsRegistry",
-    "merge_states",
-    "canonical_metrics_bytes",
     "prometheus_text",
     "json_artifact",
     "write_artifacts",

@@ -4,9 +4,6 @@
 (``observability=``) the same way ``record_history`` carries the consistency
 recorder: ``None`` (the default) means the layer is completely off and the
 request path pays nothing beyond a single ``is None`` check per site.
-
-The config is a frozen, picklable dataclass so it survives the spawn-based
-``ParallelSimulator`` worker boundary unchanged.
 """
 
 from __future__ import annotations
@@ -31,8 +28,8 @@ class ObservabilityConfig:
         Sampling is counter-based — ``request_index % sample_every == 0`` —
         never random, so the sampled set is identical run-to-run.
     :param metrics_interval: sim-seconds between registry time-series
-        snapshots.  Snapshots land on the global epoch grid (multiples of
-        the interval) so per-partition series merge exactly.
+        snapshots.  Snapshots land on the epoch grid (multiples of the
+        interval), so a series is reproducible run-to-run.
     """
 
     trace: bool = True

@@ -1,9 +1,8 @@
 """Exposition: Prometheus-style text format and a JSON artifact dump.
 
-Both exporters consume the *state tuple* (``MetricsRegistry.state()`` or the
-partition-merged state from ``repro.obs.registry.merge_states``) rather than
-a live registry, so the same code serves single-process runs, the parallel
-merge, and the CLI smoke artifacts.
+Both exporters consume the *state tuple* (``MetricsRegistry.state()``)
+rather than a live registry, so the same code serves library callers and the
+CLI smoke artifacts.
 """
 
 from __future__ import annotations

@@ -11,23 +11,19 @@ Three instrument kinds:
   a modelling bug for counters — use a gauge).
 * **gauge** (:class:`Gauge`) — a level that may go up *and* down: queue
   depths, open breakers, cache residency.
-* **histogram** — raw sample lists (deterministically merged across
-  partitions by concatenation in partition order); exposition derives
-  count/sum/quantiles.
+* **histogram** — raw sample lists; exposition derives count/sum/quantiles.
 
 Determinism contract: publishing draws no RNG and reads nothing but the
 values handed to it plus explicitly supplied timestamps, so enabling the
-registry cannot change any seeded summary.  ``state()`` is a picklable,
-canonically-sorted tuple — the surface ``ParallelSimulator`` ships across
-the spawn boundary and ``merge_states`` folds in partition-id order.
+registry cannot change any seeded summary.  ``state()`` is a plain,
+canonically-sorted tuple — the surface the exporters consume.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-__all__ = ["Gauge", "MetricsRegistry", "merge_states", "canonical_metrics_bytes"]
+__all__ = ["Gauge", "MetricsRegistry"]
 
 LabelKey = Tuple[Tuple[str, object], ...]
 
@@ -108,8 +104,7 @@ class MetricsRegistry:
         """Snapshot counters and gauges onto the time series at ``timestamp``.
 
         The caller supplies the timestamp (an epoch-grid boundary or the
-        run's stop time) so snapshots are reproducible and per-partition
-        grids line up at merge time.
+        run's stop time) so snapshots are reproducible.
         """
         counters = tuple(
             sorted((name, labels, value) for (name, labels), value in self._counters.items())
@@ -153,72 +148,3 @@ class MetricsRegistry:
             )
         )
         return (counters, gauges, histograms, tuple(self._series))
-
-
-def merge_states(states: Sequence[tuple]) -> tuple:
-    """Fold per-partition ``MetricsRegistry.state()`` tuples, in order.
-
-    Counters and gauges sum; histogram sample lists concatenate in
-    partition-id order; time-series snapshots group by timestamp (the epoch
-    grid is global, so partitions that crossed the same boundary sum there)
-    and sort by time.  Folding in partition order makes the merged state
-    worker-count invariant and byte-identical to the serial oracle.
-    """
-    counters: Dict[tuple, float] = {}
-    gauges: Dict[tuple, float] = {}
-    histograms: Dict[tuple, List[float]] = {}
-    series: Dict[float, Tuple[Dict[tuple, float], Dict[tuple, float]]] = {}
-    for state in states:
-        state_counters, state_gauges, state_histograms, state_series = state
-        for name, labels, value in state_counters:
-            key = (name, labels)
-            counters[key] = counters.get(key, 0) + value
-        for name, labels, value in state_gauges:
-            key = (name, labels)
-            gauges[key] = gauges.get(key, 0) + value
-        for name, labels, samples in state_histograms:
-            histograms.setdefault((name, labels), []).extend(samples)
-        for timestamp, snap_counters, snap_gauges in state_series:
-            counter_bucket, gauge_bucket = series.setdefault(timestamp, ({}, {}))
-            for name, labels, value in snap_counters:
-                key = (name, labels)
-                counter_bucket[key] = counter_bucket.get(key, 0) + value
-            for name, labels, value in snap_gauges:
-                key = (name, labels)
-                gauge_bucket[key] = gauge_bucket.get(key, 0) + value
-    merged_series = tuple(
-        (
-            timestamp,
-            tuple(sorted((name, labels, value) for (name, labels), value in buckets[0].items())),
-            tuple(sorted((name, labels, value) for (name, labels), value in buckets[1].items())),
-        )
-        for timestamp, buckets in sorted(series.items())
-    )
-    return (
-        tuple(sorted((name, labels, value) for (name, labels), value in counters.items())),
-        tuple(sorted((name, labels, value) for (name, labels), value in gauges.items())),
-        tuple(
-            sorted((name, labels, tuple(samples)) for (name, labels), samples in histograms.items())
-        ),
-        merged_series,
-    )
-
-
-def _canonical(value):
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return [_canonical(item) for item in value]
-    return value
-
-
-def canonical_metrics_bytes(state: tuple) -> bytes:
-    """Byte-exact wire form of a registry state (floats via ``repr``)."""
-    counters, gauges, histograms, series = state
-    payload = {
-        "counters": _canonical(counters),
-        "gauges": _canonical(gauges),
-        "histograms": _canonical(histograms),
-        "series": _canonical(series),
-    }
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("ascii")

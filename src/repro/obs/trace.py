@@ -10,11 +10,7 @@ recording invisible to seeded results:
 
 * timestamps come only from the virtual clock (never wall clock),
 * no random numbers are ever drawn — request sampling is counter based,
-* spans serialize to plain tuples (``to_tuple``) that pickle across the
-  ``ParallelSimulator`` spawn boundary, and
-* ``canonical_bytes`` defines a byte-exact wire form (floats via ``repr``)
-  used by the parity tests to pin merged parallel traces against the
-  serial oracle.
+* spans serialize to plain tuples (``to_tuple``) for export.
 
 Because the virtual clock does not advance *inside* a synchronous request,
 a span's ``start``/``end`` describe structure, not duration; the modelled
@@ -25,15 +21,12 @@ by summing ``cost`` over a root's descendants.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 __all__ = [
     "Span",
     "TraceRecorder",
     "spans_from_tuples",
-    "merge_trace_tuples",
-    "canonical_trace_bytes",
 ]
 
 
@@ -234,7 +227,7 @@ class TraceRecorder:
         return tuple(self._spans)
 
     def span_tuples(self) -> Tuple[tuple, ...]:
-        """All spans as picklable rows (the parallel-merge surface)."""
+        """All spans as plain rows (the export surface)."""
         return tuple(span.to_tuple() for span in self._spans)
 
     def __len__(self) -> int:
@@ -247,52 +240,3 @@ def spans_from_tuples(rows: Iterable[tuple]) -> List[Span]:
         Span(span_id, parent_id, name, start, end=end, cost=cost, attrs=dict(attrs))
         for span_id, parent_id, name, start, end, cost, attrs in rows
     ]
-
-
-def merge_trace_tuples(partitions: Sequence[Sequence[tuple]]) -> Tuple[tuple, ...]:
-    """Concatenate per-partition span rows in partition order.
-
-    Span ids are renumbered with a per-partition offset and — unlike the
-    history merge, where rows are independent — **parent ids are offset by
-    the same amount** so the tree structure survives.  Folding in partition-id
-    order makes the result byte-identical run-to-run and worker-count
-    invariant, exactly like ``merge_outcomes`` summaries.
-    """
-    merged: List[tuple] = []
-    for rows in partitions:
-        base = len(merged)
-        for row in rows:
-            span_id, parent_id = row[0], row[1]
-            merged.append(
-                (span_id + base, None if parent_id is None else parent_id + base)
-                + tuple(row[2:])
-            )
-    return tuple(merged)
-
-
-def _canonical_value(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
-def canonical_trace_bytes(rows: Iterable[tuple]) -> bytes:
-    """Byte-exact wire form of span rows.
-
-    Floats are rendered with ``repr`` (shortest round-trip form) and the
-    JSON uses compact separators, mirroring ``repro.verify.history``'s
-    canonical encoding, so equality of bytes is equality of traces.
-    """
-    payload = [
-        [
-            span_id,
-            parent_id,
-            name,
-            repr(start),
-            repr(end),
-            repr(cost),
-            [[key, _canonical_value(value)] for key, value in attrs],
-        ]
-        for span_id, parent_id, name, start, end, cost, attrs in rows
-    ]
-    return json.dumps(payload, separators=(",", ":"), sort_keys=False).encode("ascii")

@@ -5,8 +5,9 @@ because only a simulation provides globally ordered event timestamps without
 clock-synchronisation error.  This package provides the pieces: a virtual
 clock (in :mod:`repro.clock`), a discrete-event queue, latency models for the
 network paths involved, a staleness auditor that checks every read against the
-globally ordered write history, and the :class:`Simulator` driving simulated
-clients against a full Quaestor deployment.
+globally ordered write history, the :class:`Simulator` driving simulated
+clients against a full Quaestor deployment, and :func:`map_ordered` for
+spreading independent runs (seed grids, scenario matrices) across cores.
 """
 
 from __future__ import annotations
@@ -20,18 +21,7 @@ from repro.simulation.simulator import (
     SimulationResult,
     Simulator,
 )
-from repro.simulation.parallel import (
-    ParallelParityError,
-    ParallelSimulationError,
-    ParallelSimulationResult,
-    ParallelSimulator,
-    PartitionJob,
-    PartitionOutcome,
-    merge_outcomes,
-    partition_simulation,
-    run_parity_harness,
-    serial_oracle,
-)
+from repro.simulation.sweep import map_ordered, usable_cores
 
 __all__ = [
     "EventQueue",
@@ -45,14 +35,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "Simulator",
-    "ParallelParityError",
-    "ParallelSimulationError",
-    "ParallelSimulationResult",
-    "ParallelSimulator",
-    "PartitionJob",
-    "PartitionOutcome",
-    "merge_outcomes",
-    "partition_simulation",
-    "run_parity_harness",
-    "serial_oracle",
+    "map_ordered",
+    "usable_cores",
 ]

@@ -154,8 +154,16 @@ class SimulationConfig:
     observability: Optional["ObservabilityConfig"] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, CachingMode):
+            raise ConfigurationError("mode must be a CachingMode")
+        if not isinstance(self.workload, WorkloadSpec):
+            raise ConfigurationError("workload must be a WorkloadSpec")
         if self.num_clients <= 0 or self.connections_per_client <= 0:
             raise ConfigurationError("client and connection counts must be positive")
+        if self.ebf_refresh_interval <= 0:
+            raise ConfigurationError("ebf_refresh_interval must be positive")
+        if self.matching_nodes <= 0:
+            raise ConfigurationError("matching_nodes must be positive")
         if self.num_shards <= 0:
             raise ConfigurationError("num_shards must be positive")
         if self.replication_factor < 1:
@@ -176,6 +184,13 @@ class SimulationConfig:
             raise ConfigurationError("ttl_estimator must be a TTLEstimatorSpec")
         if self.consistency is not None and not isinstance(self.consistency, ConsistencyLevel):
             raise ConfigurationError("consistency must be a ConsistencyLevel")
+        if self.resilience is not None and not isinstance(self.resilience, ResilienceConfig):
+            raise ConfigurationError("resilience must be a ResilienceConfig")
+        if self.fault_plan is not None:
+            from repro.faults.plan import FaultPlan
+
+            if not isinstance(self.fault_plan, FaultPlan):
+                raise ConfigurationError("fault_plan must be a FaultPlan")
         if self.observability is not None:
             from repro.obs import ObservabilityConfig
 
@@ -184,9 +199,11 @@ class SimulationConfig:
         if self.workload_phases is not None:
             if not self.workload_phases:
                 raise ConfigurationError("workload_phases must contain at least one phase")
-            for operations, _spec in self.workload_phases:
+            for operations, spec in self.workload_phases:
                 if operations <= 0:
                     raise ConfigurationError("every workload phase budget must be positive")
+                if not isinstance(spec, WorkloadSpec):
+                    raise ConfigurationError("every workload phase spec must be a WorkloadSpec")
 
     @property
     def total_connections(self) -> int:
@@ -439,10 +456,6 @@ class Simulator:
         self._total_operations = 0
         self._warmup_operations = int(config.warmup_fraction * config.max_operations)
         self._measure_start_time: Optional[float] = None
-        self._stop_time = config.duration
-        self._stopped_at: Optional[float] = None
-        self._started = False
-        self._finalized = False
 
     # -- purge path -------------------------------------------------------------------------
 
@@ -458,29 +471,10 @@ class Simulator:
     # -- main loop ----------------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        """Run the simulation to completion and return aggregated results.
-
-        Equivalent to :meth:`start` followed by a single
-        :meth:`advance_until` up to the configured duration and
-        :meth:`finalize` -- the epoch-sliced parallel driver
-        (:mod:`repro.simulation.parallel`) calls the same three phases with
-        intermediate barriers, and both paths execute the exact same event
-        sequence.
-        """
-        self.start()
-        self.advance_until(self._stop_time)
-        return self.finalize()
-
-    def start(self) -> None:
-        """Seed the connection start-up events (idempotent).
-
-        One event per simulated connection, bulk-loaded via schedule_many
-        (start times drawn in the same client-major order as before, so
-        sequences -- and thus tie-breaking -- are unchanged).
-        """
-        if self._started:
-            return
-        self._started = True
+        """Run the simulation to completion and return aggregated results."""
+        # Connection start-up: one event per simulated connection, bulk-loaded
+        # via schedule_many (start times drawn in client-major order, so
+        # sequences -- and thus tie-breaking -- are deterministic).
         uniform = self.rng.uniform
         execute = self._execute_operation
         self.events.schedule_many(
@@ -492,47 +486,25 @@ class Simulator:
             label="op",
         )
 
-    def advance_until(self, end_time: float) -> bool:
-        """Execute events due at or before ``min(end_time, duration)``.
-
-        Returns ``True`` once the simulation is finished: the operation
-        budget is exhausted or no pending event is due within the configured
-        duration.  Slicing a run into several ``advance_until`` calls pops
-        the exact same events in the exact same order as one call covering
-        the whole span -- the clock only ever advances *to executed events*
-        (never to ``end_time`` itself), so epoch boundaries leave no trace
-        in any result value.  This is the determinism contract the parallel
-        simulator's epoch barriers rely on.
-        """
-        if not self._started:
-            raise RuntimeError("start() must be called before advance_until()")
         # Main loop: a single heap inspection per iteration (pop_if_before),
         # with the loop-invariant lookups hoisted out.
         pop_if_before = self.events.pop_if_before
         advance_to = self.clock.advance_to
-        limit = min(end_time, self._stop_time)
+        stop_time = self.config.duration
         max_operations = self.config.max_operations
         while self._total_operations < max_operations:
-            event = pop_if_before(limit)
+            event = pop_if_before(stop_time)
             if event is None:
                 break
             advance_to(event.timestamp)
             event.action()
-        if self._total_operations >= max_operations:
-            return True
-        next_time = self.events.peek_time()
-        return next_time is None or next_time > self._stop_time
 
-    def finalize(self) -> SimulationResult:
-        """Freeze the stop time and aggregate results (idempotent stop mark)."""
-        if not self._finalized:
-            self._finalized = True
-            self._stopped_at = self.clock.now()
-            if self.metrics_registry is not None:
-                # Closing snapshot at the (deterministic) stop time so the
-                # series always covers the whole run.
-                self.metrics_registry.sample(self._stopped_at)
-        return self._collect_results()
+        stopped_at = self.clock.now()
+        if self.metrics_registry is not None:
+            # Closing snapshot at the (deterministic) stop time so the series
+            # always covers the whole run.
+            self.metrics_registry.sample(stopped_at)
+        return self._collect_results(stopped_at)
 
     @property
     def total_operations(self) -> int:
@@ -540,7 +512,7 @@ class Simulator:
         return self._total_operations
 
     def stale_counts(self) -> Dict[str, int]:
-        """Measured-window staleness audit counters (parallel-merge surface)."""
+        """Measured-window staleness audit counters."""
         return self._stale_counts.as_dict()
 
     def history_events(self) -> Tuple:
@@ -549,12 +521,6 @@ class Simulator:
             return ()
         return self.history.events()
 
-    def history_tuples(self) -> Tuple[tuple, ...]:
-        """Flat picklable history rows (parallel-merge surface)."""
-        if self.history is None:
-            return ()
-        return self.history.event_tuples()
-
     def trace_spans(self) -> Tuple:
         """The recorded request spans (empty unless tracing is on)."""
         if self.tracer is None:
@@ -562,13 +528,13 @@ class Simulator:
         return self.tracer.spans()
 
     def trace_tuples(self) -> Tuple[tuple, ...]:
-        """Flat picklable span rows (parallel-merge surface)."""
+        """The recorded spans as plain rows (the ``python -m repro.obs`` export)."""
         if self.tracer is None:
             return ()
         return self.tracer.span_tuples()
 
     def metrics_state(self) -> Optional[tuple]:
-        """The metrics registry state (parallel-merge surface), or ``None``."""
+        """The metrics registry state (the ``python -m repro.obs`` export), or ``None``."""
         if self.metrics_registry is None:
             return None
         return self.metrics_registry.state()
@@ -628,9 +594,8 @@ class Simulator:
             self._trace_parts = None
         if registry is not None:
             # Lazy epoch sampling: snapshot the time series at every grid
-            # boundary this operation's start time has crossed.  The grid is
-            # global (multiples of the interval), so per-partition series
-            # line up exactly at merge time.
+            # boundary (multiples of the interval) this operation's start
+            # time has crossed.
             while start_time >= self._next_metrics_sample:
                 registry.sample(self._next_metrics_sample)
                 self._next_metrics_sample += registry.interval
@@ -967,8 +932,7 @@ class Simulator:
 
     # -- result aggregation -------------------------------------------------------------------------
 
-    def _collect_results(self) -> SimulationResult:
-        end_time = self._stopped_at if self._stopped_at is not None else self._stop_time
+    def _collect_results(self, end_time: float) -> SimulationResult:
         start_time = self._measure_start_time if self._measure_start_time is not None else end_time
         measured_duration = max(1e-9, end_time - start_time)
         throughput = self._measured_operations / measured_duration

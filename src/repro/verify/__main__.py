@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import List, Sequence
+
+from repro.simulation.sweep import map_ordered
 
 from .checkers import run_all
 from .report import render_report, shrink_first_violation
@@ -96,10 +99,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     specs = smoke_matrix() if args.smoke else scenario_matrix()
-    results: List[ScenarioResult] = []
     for spec in specs:
         print(f"auditing {spec.name} (seed {spec.seed}) ...", flush=True)
-        results.append(run_scenario(spec, with_mutations=not args.no_mutations))
+    # Every cell is an independent seeded run, so the cells spread across
+    # cores; results come back in matrix order.
+    results: List[ScenarioResult] = map_ordered(
+        partial(run_scenario, with_mutations=not args.no_mutations), specs
+    )
 
     print()
     print(_verdict_table(results))

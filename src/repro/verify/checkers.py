@@ -3,8 +3,7 @@
 Each checker takes the flat event sequence produced by
 :class:`repro.verify.history.HistoryRecorder` and returns a
 :class:`CheckerReport`.  Nothing here touches the simulator, clocks, or
-RNGs, so the same history yields the same verdicts whether it came from
-the serial oracle or the process-parallel simulator.
+RNGs, so the same history always yields the same verdicts.
 
 Checkers
 --------

@@ -14,8 +14,7 @@ during a simulated run, captured at two planes:
 
 Events are plain frozen dataclasses so checkers are pure functions over
 tuples; :func:`canonical_bytes` gives a stable serialisation used to
-assert byte-identity between the serial oracle and the parallel
-simulator.
+assert that two runs of the same seed record byte-identical histories.
 """
 
 from __future__ import annotations
@@ -44,11 +43,8 @@ TOMBSTONE_VERSION = -1
 class HistoryEvent:
     """One entry in a recorded history.
 
-    ``seq`` is the global record order assigned by the recorder — for a
-    serial run that is exactly the deterministic event-loop order; for a
-    parallel run events are renumbered after the partition-id-ordered
-    merge so the same seed yields the same sequence regardless of worker
-    count.  ``session`` is the client name for operations and ``""`` for
+    ``seq`` is the global record order assigned by the recorder — exactly
+    the deterministic event-loop order.  ``session`` is the client name for operations and ``""`` for
     server-side installs.  ``frontier`` snapshots the client's causal
     frontier *after* the operation completed.
     """
@@ -76,7 +72,7 @@ class HistoryEvent:
     fast_failed: bool
 
     def to_tuple(self) -> tuple:
-        """Picklable, order-preserving flat form (used across processes)."""
+        """Order-preserving flat form (see :func:`events_from_tuples`)."""
         return (
             self.seq, self.kind, self.session, self.op, self.key,
             self.invoked, self.completed, self.etag, self.version,
@@ -210,7 +206,3 @@ class HistoryRecorder:
 
     def events(self) -> Tuple[HistoryEvent, ...]:
         return tuple(self._events)
-
-    def event_tuples(self) -> Tuple[tuple, ...]:
-        """Flat picklable form for cross-process merging."""
-        return tuple(event.to_tuple() for event in self._events)

@@ -21,10 +21,6 @@ from repro.workloads.generator import (
     PhasedWorkloadGenerator,
     WorkloadGenerator,
     WorkloadSpec,
-    derive_substream_seed,
-    partition_share,
-    split_workload_phases,
-    split_workload_spec,
 )
 
 __all__ = [
@@ -40,8 +36,4 @@ __all__ = [
     "WorkloadGenerator",
     "PhasedWorkloadGenerator",
     "WorkloadSpec",
-    "derive_substream_seed",
-    "partition_share",
-    "split_workload_phases",
-    "split_workload_spec",
 ]

@@ -7,10 +7,9 @@ query (and the table) it targets is sampled from a Zipfian distribution.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import perf
@@ -18,71 +17,6 @@ from repro.errors import ConfigurationError
 from repro.workloads.dataset import Dataset
 from repro.workloads.distributions import UniformGenerator, ZipfianGenerator
 from repro.workloads.operations import Operation, OperationType
-
-
-def derive_substream_seed(seed: int, *path: object) -> int:
-    """Derive an independent 64-bit RNG substream seed from ``seed``.
-
-    The derivation hashes ``(seed, *path)`` with blake2b, so substreams for
-    different paths (e.g. partition ids) are statistically independent of
-    each other *and* of the master stream, yet fully determined by the
-    master seed.  The same function seeds workload substreams
-    (:meth:`WorkloadGenerator.split`) and the parallel simulator's
-    per-partition configs, so the two layers can never drift apart.  The
-    mapping is pinned by golden tests -- changing it invalidates every
-    seeded partitioned experiment.
-    """
-    digest = hashlib.blake2b(repr((int(seed),) + path).encode("utf-8"), digest_size=8)
-    return int.from_bytes(digest.digest(), "big")
-
-
-def partition_share(total: int, partition_id: int, num_partitions: int) -> int:
-    """Deterministic near-even integer split: remainder to the lowest ids."""
-    if num_partitions <= 0:
-        raise ConfigurationError("num_partitions must be positive")
-    if not 0 <= partition_id < num_partitions:
-        raise ConfigurationError("partition_id out of range")
-    base, remainder = divmod(int(total), num_partitions)
-    return base + (1 if partition_id < remainder else 0)
-
-
-def split_workload_spec(spec: "WorkloadSpec", partition_id: int, num_partitions: int) -> "WorkloadSpec":
-    """The spec of partition ``partition_id``'s independent substream.
-
-    Identical proportions and skew; only the seed moves, onto the derived
-    substream for that partition.
-    """
-    return replace(
-        spec, seed=derive_substream_seed(spec.seed, "workload", partition_id, num_partitions)
-    )
-
-
-def split_workload_phases(
-    phases: Sequence[Tuple[int, "WorkloadSpec"]], partition_id: int, num_partitions: int
-) -> Tuple[Tuple[int, "WorkloadSpec"], ...]:
-    """Partition a phased workload: per-phase budgets split near-evenly.
-
-    Every phase keeps its boundary *relative* position in each substream
-    (budgets are divided with the deterministic remainder rule), and each
-    phase's spec is reseeded onto a substream derived from the phase index
-    as well, so two phases sharing a seed still diverge per partition.
-    """
-    result: List[Tuple[int, "WorkloadSpec"]] = []
-    for phase_index, (operations, spec) in enumerate(phases):
-        if operations < num_partitions:
-            raise ConfigurationError(
-                f"workload phase {phase_index} budget ({operations}) is smaller than "
-                f"num_partitions ({num_partitions}); every partition needs a positive share"
-            )
-        share = partition_share(operations, partition_id, num_partitions)
-        reseeded = replace(
-            spec,
-            seed=derive_substream_seed(
-                spec.seed, "workload-phase", phase_index, partition_id, num_partitions
-            ),
-        )
-        result.append((share, reseeded))
-    return tuple(result)
 
 
 @dataclass(frozen=True)
@@ -326,30 +260,6 @@ class WorkloadGenerator:
             return self.next_operations(count)
         return list(self.stream(count))
 
-    def split(self, num_workers: int) -> List["WorkloadGenerator"]:
-        """Derive ``num_workers`` independent substream generators.
-
-        Substream ``p`` samples over the ``p``-th table slice of the dataset
-        (:meth:`~repro.workloads.dataset.Dataset.partition`, round-robin by
-        table index) with all RNG streams reseeded via
-        :func:`derive_substream_seed` -- so the substreams are mutually
-        independent, independent of this generator's own streams, and each
-        one is exactly as reproducible as a single-spec workload.  The
-        per-substream interleave (type draw, then payload draws, then the
-        picker streams) is byte-for-byte the normal generator contract and
-        is pinned by golden stream tests.  This is the shard-partitionable
-        form the process-parallel simulator feeds to its workers.
-        """
-        if num_workers <= 0:
-            raise ConfigurationError("num_workers must be positive")
-        return [
-            WorkloadGenerator(
-                split_workload_spec(self.spec, partition_id, num_workers),
-                self.dataset.partition(partition_id, num_workers),
-            )
-            for partition_id in range(num_workers)
-        ]
-
     # -- internals ---------------------------------------------------------------------
 
     def _sample_type(self) -> OperationType:
@@ -474,22 +384,3 @@ class PhasedWorkloadGenerator:
         while len(batch) < count:
             batch.extend(self.next_operations(count - len(batch)))
         return batch
-
-    def split(self, num_workers: int) -> List["PhasedWorkloadGenerator"]:
-        """Derive ``num_workers`` independent phased substreams.
-
-        Phase budgets are divided near-evenly (remainder to the lowest
-        partition ids, :func:`partition_share`), so every substream crosses
-        its phase boundaries at the same relative position; each phase's
-        spec is reseeded per partition via :func:`split_workload_phases`.
-        Every phase budget must be at least ``num_workers``.
-        """
-        if num_workers <= 0:
-            raise ConfigurationError("num_workers must be positive")
-        return [
-            PhasedWorkloadGenerator(
-                split_workload_phases(self.phases, partition_id, num_workers),
-                self.dataset.partition(partition_id, num_workers),
-            )
-            for partition_id in range(num_workers)
-        ]

@@ -151,24 +151,3 @@ class TestBuilders:
             FaultPlan.brownout(at=5.0, recover_at=5.0)
         with pytest.raises(ConfigurationError):
             FaultPlan.flaky(at=5.0, recover_at=2.0)
-
-
-class TestSplitByShard:
-    def test_gray_events_route_with_their_magnitude(self):
-        plan = FaultPlan(
-            events=[
-                FaultEvent(1.0, FaultAction.SLOW_SHARD, "shard:0", magnitude=4.0),
-                FaultEvent(1.0, FaultAction.FLAKY_SHARD, "shard:1", magnitude=0.3),
-                FaultEvent(2.0, FaultAction.RESTORE, "shard:1"),
-            ]
-        )
-        first, second = plan.split_by_shard(2, 1)
-        assert [event.action for event in first.events] == [FaultAction.SLOW_SHARD]
-        assert first.events[0].magnitude == pytest.approx(4.0)
-        assert [event.action for event in second.events] == [
-            FaultAction.FLAKY_SHARD,
-            FaultAction.RESTORE,
-        ]
-        # Targets are rewritten into local shard numbering.
-        assert second.events[0].target == "shard:0"
-        assert second.events[0].magnitude == pytest.approx(0.3)

@@ -13,16 +13,12 @@ from repro.obs import (
     ObservabilityConfig,
     Span,
     TraceRecorder,
-    canonical_metrics_bytes,
-    canonical_trace_bytes,
     coverage,
     critical_path,
     folded_stacks,
     index_spans,
     json_artifact,
     latency_attribution,
-    merge_states,
-    merge_trace_tuples,
     percentile_root,
     prometheus_text,
     render_report,
@@ -121,24 +117,6 @@ class TestTraceRecorder:
         restored = spans_from_tuples(rows)
         assert [span.to_tuple() for span in restored] == list(rows)
 
-    def test_merge_offsets_both_ids(self):
-        def one_partition():
-            tracer = TraceRecorder(FakeClock())
-            root = tracer.begin("sdk.read")
-            tracer.event("sdk.fetch")
-            tracer.end(root)
-            return tracer.span_tuples()
-
-        merged = merge_trace_tuples([one_partition(), one_partition()])
-        spans = spans_from_tuples(merged)
-        assert [span.span_id for span in spans] == [0, 1, 2, 3]
-        # The second partition's child points at the second partition's root.
-        assert spans[3].parent_id == spans[2].span_id
-        assert canonical_trace_bytes(merged) == canonical_trace_bytes(
-            [span.to_tuple() for span in spans]
-        )
-
-
 class TestMetricsRegistry:
     def test_counters_are_monotone(self):
         registry = MetricsRegistry()
@@ -168,22 +146,6 @@ class TestMetricsRegistry:
         assert [point[0] for point in series] == [1.0, 2.0]
         assert series[0][1] == (("ops", (), 1),)
         assert series[1][1] == (("ops", (), 2),)
-
-    def test_merge_states_sums_and_concatenates(self):
-        def one(value, sample):
-            registry = MetricsRegistry()
-            registry.inc("ops", value, op="read")
-            registry.observe("lat", sample, op="read")
-            registry.sample(1.0)
-            return registry.state()
-
-        merged = merge_states([one(2, 0.5), one(3, 0.25)])
-        counters, _gauges, histograms, series = merged
-        assert counters == (("ops", (("op", "read"),), 5),)
-        assert histograms == (("lat", (("op", "read"),), (0.5, 0.25)),)
-        assert series[0][0] == 1.0 and series[0][1] == (("ops", (("op", "read"),), 5),)
-        assert canonical_metrics_bytes(merged) == canonical_metrics_bytes(merged)
-
 
 class TestExport:
     def _state(self):

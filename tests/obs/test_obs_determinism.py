@@ -1,31 +1,19 @@
 """Determinism gates for the observability layer.
 
-Two hard guarantees pinned here:
-
-1. **Observer effect is zero.**  Enabling tracing + metrics must not change
-   a single summary value of a seeded run — including the golden summaries
-   pinned since the hot-path overhaul (duplicated inline; test modules
-   cannot import each other without a tests package).
-2. **Parallel merges are byte-identical.**  Per-partition trace and metric
-   state folded by ``ParallelSimulator`` must match the serial oracle's
-   merge byte for byte, at every worker count.
+The hard guarantee pinned here: **observer effect is zero.**  Enabling
+tracing + metrics must not change a single summary value of a seeded run —
+including the golden summaries pinned since the hot-path overhaul
+(duplicated inline; test modules cannot import each other without a tests
+package).
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.obs import (
-    ObservabilityConfig,
-    canonical_metrics_bytes,
-    canonical_trace_bytes,
-    latency_attribution,
-)
+from repro.obs import ObservabilityConfig, latency_attribution
 from repro.obs.__main__ import main as obs_main, scenario_config
 from repro.simulation import CachingMode, SimulationConfig, Simulator
-from repro.simulation.parallel import ParallelSimulator, parity_config, serial_oracle
 from repro.workloads import DatasetSpec, WorkloadSpec
 
 
@@ -122,44 +110,11 @@ class TestTracingIsInvisible:
         assert ops_total == result.operations
         latency_rows = [row for row in histograms if row[0] == "sim_request_latency_seconds"]
         assert sum(len(samples) for _n, _l, samples in latency_rows) == result.operations
-        # The lazy epoch sampler plus the finalize snapshot: the last series
+        # The lazy epoch sampler plus the closing snapshot: the last series
         # point carries the final counter state.
-        assert series, "finalize() must leave at least one snapshot"
+        assert series, "the closing snapshot must leave at least one point"
         final_counters = series[-1][1]
         assert sum(v for n, _l, v in final_counters if n == "sim_operations_total") == ops_total
-
-
-@pytest.fixture(scope="module")
-def parallel_case():
-    config = dataclasses.replace(
-        parity_config(CachingMode.QUAESTOR, replication_factor=1, num_partitions=4),
-        num_shards=4,
-        num_clients=4,
-        observability=ObservabilityConfig.full(),
-    )
-    oracle = serial_oracle(config, 4)
-    return config, oracle
-
-
-class TestParallelMergeParity:
-    def test_oracle_records_trace_and_metrics(self, parallel_case):
-        _config, oracle = parallel_case
-        assert oracle.trace and oracle.metrics is not None
-        # Root spans from later partitions keep pointing at their own
-        # children after the id offset (no cross-partition edges).
-        spans = oracle.trace_spans()
-        by_id = {span.span_id: span for span in spans}
-        for span in spans:
-            if span.parent_id is not None:
-                assert span.parent_id in by_id
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_workers_byte_identical_to_serial_oracle(self, parallel_case, workers):
-        config, oracle = parallel_case
-        run = ParallelSimulator(config, num_partitions=4, num_workers=workers).run()
-        assert run.summary() == oracle.summary()
-        assert canonical_trace_bytes(run.trace) == canonical_trace_bytes(oracle.trace)
-        assert canonical_metrics_bytes(run.metrics) == canonical_metrics_bytes(oracle.metrics)
 
 
 class TestSmokeCli:

@@ -76,6 +76,23 @@ class TestSimulationMechanics:
         with pytest.raises(ConfigurationError):
             small_config(CachingMode.QUAESTOR, origin_capacity=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ebf_refresh_interval", 0.0),
+            ("ebf_refresh_interval", -1.0),
+            ("mode", "quaestor"),
+            ("fault_plan", "x"),
+            ("resilience", "x"),
+            ("workload_phases", ((100, "read-heavy"),)),
+            ("matching_nodes", 0),
+        ],
+    )
+    def test_malformed_configuration_fails_at_construction(self, field, value):
+        # Rejected by SimulationConfig itself, before any Simulator is built.
+        with pytest.raises(ConfigurationError):
+            small_config(**{"mode": CachingMode.QUAESTOR, field: value})
+
 
 class TestCachingModes:
     def test_uncached_mode_never_hits_caches(self, uncached_result):

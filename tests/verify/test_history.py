@@ -128,7 +128,6 @@ class TestSimulatorIntegration:
         simulator = Simulator(_config(record_history=False))
         simulator.run()
         assert simulator.history_events() == ()
-        assert simulator.history_tuples() == ()
 
     def test_history_covers_every_operation(self, recorded):
         simulator, _ = recorded

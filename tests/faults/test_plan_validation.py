@@ -151,3 +151,82 @@ class TestBuilders:
             FaultPlan.brownout(at=5.0, recover_at=5.0)
         with pytest.raises(ConfigurationError):
             FaultPlan.flaky(at=5.0, recover_at=2.0)
+
+    def test_primary_crash_without_recovery(self):
+        plan = FaultPlan.primary_crash(shard=2, at=7.0)
+        assert plan.name == "primary-crash/shard=2"
+        assert [(e.time, e.action, e.target) for e in plan.events] == [
+            (7.0, FaultAction.CRASH, "shard:2"),
+        ]
+
+    def test_primary_crash_with_recovery_targets_the_same_shard(self):
+        plan = FaultPlan.primary_crash(shard=1, at=3.0, recover_at=9.0)
+        assert [(e.time, e.action, e.target) for e in plan.events] == [
+            (3.0, FaultAction.CRASH, "shard:1"),
+            (9.0, FaultAction.RECOVER, "shard:1"),
+        ]
+        with pytest.raises(ConfigurationError):
+            FaultPlan.primary_crash(at=3.0, recover_at=3.0)
+
+    def test_rolling_crashes_are_spaced_per_shard(self):
+        plan = FaultPlan.rolling_primary_crashes([0, 1, 2], start=10.0, spacing=5.0)
+        assert plan.name == "rolling-crashes/3-shards"
+        assert [(e.time, e.target) for e in plan.events] == [
+            (10.0, "shard:0"),
+            (15.0, "shard:1"),
+            (20.0, "shard:2"),
+        ]
+        assert all(e.action is FaultAction.CRASH for e in plan.events)
+
+    def test_rolling_crashes_with_downtime_interleave_recoveries(self):
+        plan = FaultPlan.rolling_primary_crashes([0, 1], start=10.0, spacing=5.0, downtime=8.0)
+        assert [(e.time, e.action, e.target) for e in plan.events] == [
+            (10.0, FaultAction.CRASH, "shard:0"),
+            (15.0, FaultAction.CRASH, "shard:1"),
+            (18.0, FaultAction.RECOVER, "shard:0"),
+            (23.0, FaultAction.RECOVER, "shard:1"),
+        ]
+
+    def test_replica_partition_cuts_and_heals_one_link(self):
+        plan = FaultPlan.replica_partition(shard=1, replica_index=2, at=4.0, heal_at=6.0)
+        assert plan.name == "replica-partition/shard=1"
+        assert [(e.action, e.target, e.peer) for e in plan.events] == [
+            (FaultAction.PARTITION, "shard:1", "s1:n2"),
+            (FaultAction.HEAL, "shard:1", "s1:n2"),
+        ]
+        with pytest.raises(ConfigurationError):
+            FaultPlan.replica_partition(at=6.0, heal_at=4.0)
+
+    def test_chaos_is_seeded_and_stays_inside_the_run(self):
+        plan = FaultPlan.chaos(duration=200.0, seed=3, mean_interval=10.0, downtime=4.0)
+        assert plan.name == "chaos/seed=3"
+        assert repr(plan) == repr(
+            FaultPlan.chaos(duration=200.0, seed=3, mean_interval=10.0, downtime=4.0)
+        )
+        assert repr(plan) != repr(
+            FaultPlan.chaos(duration=200.0, seed=4, mean_interval=10.0, downtime=4.0)
+        )
+        assert plan.events and all(0.0 < e.time < 200.0 for e in plan.events)
+
+    def test_chaos_recovers_each_crash_after_the_downtime(self):
+        plan = FaultPlan.chaos(
+            duration=500.0, seed=11, mean_interval=20.0, downtime=5.0,
+            num_shards=2, replication_factor=3,
+        )
+        crashes = [e for e in plan.events if e.action is FaultAction.CRASH]
+        recoveries = {
+            (e.time, e.target) for e in plan.events if e.action is FaultAction.RECOVER
+        }
+        assert crashes
+        for crash in crashes:
+            if crash.time + 5.0 < 500.0:
+                assert (crash.time + 5.0, crash.target) in recoveries
+        # Victims rotate over shards first, then node indexes.
+        targets = [crash.target for crash in crashes[:4]]
+        assert targets == ["s0:n0", "s1:n0", "s0:n1", "s1:n1"][: len(targets)]
+
+    def test_chaos_validates_its_rates(self):
+        for kwargs in ({"duration": 0.0}, {"duration": 10.0, "mean_interval": 0.0},
+                       {"duration": 10.0, "downtime": -1.0}):
+            with pytest.raises(ConfigurationError):
+                FaultPlan.chaos(**kwargs)

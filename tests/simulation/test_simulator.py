@@ -86,6 +86,21 @@ class TestSimulationMechanics:
             ("resilience", "x"),
             ("workload_phases", ((100, "read-heavy"),)),
             ("matching_nodes", 0),
+            ("workload", "read-heavy"),
+            ("connections_per_client", 0),
+            ("num_shards", 0),
+            ("replication_factor", 0),
+            ("failover_detection_delay", -0.5),
+            ("duration", 0.0),
+            ("warmup_fraction", -0.1),
+            ("warmup_fraction", 1.0),
+            ("max_operations", 0),
+            ("client_instance_capacity", 0.0),
+            ("ttl_estimator", "adaptive"),
+            ("consistency", "delta-atomic"),
+            ("observability", "full"),
+            ("workload_phases", ()),
+            ("workload_phases", ((0, WorkloadSpec.read_heavy()),)),
         ],
     )
     def test_malformed_configuration_fails_at_construction(self, field, value):

@@ -137,6 +137,24 @@ class TestSimulatorIntegration:
         invocations = [e.invoked for e in ops]
         assert invocations == sorted(invocations)
 
+    def test_seq_numbers_are_dense_in_recording_order(self, recorded):
+        simulator, _ = recorded
+        seqs = [event.seq for event in simulator.history_events()]
+        assert seqs == list(range(len(seqs)))
+        assert len(seqs) == len(simulator.history)
+
+    def test_operations_complete_after_they_are_invoked(self, recorded):
+        simulator, _ = recorded
+        ops = [e for e in simulator.history_events() if e.kind == KIND_OPERATION]
+        assert all(e.completed >= e.invoked for e in ops)
+        assert {e.op for e in ops} <= {"read", "query", "insert", "update", "delete"}
+
+    def test_history_survives_the_tuple_wire_format(self, recorded):
+        simulator, _ = recorded
+        events = simulator.history_events()
+        rebuilt = events_from_tuples(event.to_tuple() for event in events)
+        assert canonical_bytes(rebuilt) == canonical_bytes(events)
+
     def test_reads_carry_observed_versions(self, recorded):
         simulator, _ = recorded
         versioned = [
